@@ -19,10 +19,11 @@ calls) for
 
 at the batch sizes that occur at smoke scale: 8 (one work-item chunk /
 fault-map die) and 32 (the cross-work-item aggregated batch,
-``DEFAULT_AGGREGATE_PACKETS``), plus 128 for headroom.  Results are written
-to ``BENCH_decoder.json`` at the repository root; the committed copy is the
-reference-container snapshot, and the non-gating ``decoder-bench`` CI job
-regenerates and uploads it as an artifact per commit.
+``DEFAULT_AGGREGATE_PACKETS``), plus 128 for headroom.  Every test here
+writes its section into a ``BENCH_decoder.json`` under pytest's
+``tmp_path``, so running the suite never touches the tracked copy at the
+repository root; ``repro bench decoder|front-end`` is the only writer of
+that file.
 
 Set ``REPRO_BENCH_STRICT=1`` to also assert the engine's speedup targets —
 numpy backend >= 3x the seed kernel at the aggregated batch sizes (>= 32)
@@ -35,7 +36,6 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from repro.phy.turbo.interleaver import TurboInterleaver, make_turbo_interleaver
 from repro.phy.turbo.trellis import RscTrellis, UMTS_TRELLIS
 from repro.runner.tasks import DEFAULT_AGGREGATE_PACKETS
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_decoder.json"
 BATCH_SIZES = (8, DEFAULT_AGGREGATE_PACKETS, 128)
 REPEATS = 12
 #: Per-row noise levels cycled through the batch: solid, moderate, hard,
@@ -201,7 +200,7 @@ def _throughput(decode, batch_inputs, block_size: int, batch: int) -> float:
     return batch * block_size / best
 
 
-def test_decoder_throughput_benchmark():
+def test_decoder_throughput_benchmark(tmp_path):
     workload = _build_workload()
     k, iterations = workload.block_size, workload.num_iterations
 
@@ -237,10 +236,7 @@ def test_decoder_throughput_benchmark():
         results["numpy"][DEFAULT_AGGREGATE_PACKETS] / results["seed"][BATCH_SIZES[0]]
     )
 
-    # Read-modify-write: other benchmarks (the link llr_dtype one below)
-    # own their own sections of the same file — never clobber them.
-    payload = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
-    payload.update({
+    payload = {
         "block_size": k,
         "num_iterations": iterations,
         "batch_sizes": list(workload.batches),
@@ -252,8 +248,10 @@ def test_decoder_throughput_benchmark():
         "aggregated_pipeline_speedup": aggregated_speedup,
         "aggregate_packets": DEFAULT_AGGREGATE_PACKETS,
         "available_backends": list(available_backends()),
-    })
-    BENCH_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    }
+    (tmp_path / "BENCH_decoder.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    )
 
     print()
     for name, per_batch in results.items():
@@ -273,7 +271,7 @@ def test_decoder_throughput_benchmark():
 # --------------------------------------------------------------------------- #
 # decoder backend-family sweep (families x batch x threads + BLER parity)
 # --------------------------------------------------------------------------- #
-def test_decoder_backend_sweep():
+def test_decoder_backend_sweep(tmp_path):
     """Sweep every available decoder family across batch sizes and threads.
 
     Delegates to :mod:`repro.runner.bench` (also exposed as ``repro bench
@@ -292,7 +290,9 @@ def test_decoder_backend_sweep():
     from repro.runner.bench import run_and_record_decoder_backends
 
     scale = os.environ.get("REPRO_BENCH_SCALE", "smoke")
-    section = run_and_record_decoder_backends(scale, path=BENCH_PATH)
+    section = run_and_record_decoder_backends(
+        scale, path=tmp_path / "BENCH_decoder.json"
+    )
     assert all(
         value > 0
         for per_token in section["info_bits_per_second"].values()
@@ -318,7 +318,7 @@ LINK_BENCH_SNR_DB = 14.0
 LINK_BENCH_SEED = 2012
 
 
-def test_link_llr_dtype_benchmark():
+def test_link_llr_dtype_benchmark(tmp_path):
     """Measure the float32 end-to-end link-LLR mode against the default.
 
     Times full packet lifetimes (transmit -> channel -> equalize -> demap ->
@@ -356,9 +356,9 @@ def test_link_llr_dtype_benchmark():
         "num_packets": LINK_BENCH_PACKETS,
         "snr_db": LINK_BENCH_SNR_DB,
     }
-    payload = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
-    payload["link_llr_dtype"] = section
-    BENCH_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (tmp_path / "BENCH_decoder.json").write_text(
+        json.dumps({"link_llr_dtype": section}, indent=2, sort_keys=True) + "\n"
+    )
 
     print()
     for mode, value in throughput.items():
@@ -370,7 +370,7 @@ def test_link_llr_dtype_benchmark():
 # --------------------------------------------------------------------------- #
 # link front-end benchmark (batched vs the preserved pre-batching serial path)
 # --------------------------------------------------------------------------- #
-def test_front_end_benchmark():
+def test_front_end_benchmark(tmp_path):
     """Measure the batched link front end against the seed serial copy.
 
     Delegates to :mod:`repro.runner.bench` (also exposed as ``repro bench
@@ -389,7 +389,7 @@ def test_front_end_benchmark():
     )
 
     scale = os.environ.get("REPRO_BENCH_SCALE", "smoke")
-    section = run_and_record_front_end(scale, path=BENCH_PATH)
+    section = run_and_record_front_end(scale, path=tmp_path / "BENCH_decoder.json")
     assert all(
         value > 0
         for per_path in section["packets_per_second"].values()

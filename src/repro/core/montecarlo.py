@@ -14,7 +14,6 @@ from math import sqrt
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.utils.validation import ensure_positive_int
 
@@ -65,6 +64,8 @@ def mean_confidence_interval(
     mean = float(data.mean())
     if n == 1:
         return EstimateWithConfidence(mean, float("inf"), confidence, 1)
+    from scipy import stats
+
     sem = float(data.std(ddof=1) / sqrt(n))
     t_value = float(stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return EstimateWithConfidence(mean, t_value * sem, confidence, n)
@@ -77,6 +78,8 @@ def proportion_confidence_interval(
     ensure_positive_int(trials, "trials")
     if not 0 <= successes <= trials:
         raise ValueError("successes must be between 0 and trials")
+    from scipy import stats
+
     z = float(stats.norm.ppf(0.5 + confidence / 2.0))
     p_hat = successes / trials
     denominator = 1.0 + z**2 / trials

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.utils.validation import ensure_in_range
 
@@ -67,12 +66,16 @@ class BitCellType:
 
         The slow-fast corner worst case of the paper's Fig. 3.
         """
+        from scipy.stats import norm
+
         vdd = ensure_in_range(vdd, "vdd", 0.3, 1.4)
         margin_sigmas = self.margin_slope_per_volt * (vdd - self.zero_margin_voltage)
         return float(norm.sf(margin_sigmas))
 
     def failure_probabilities(self, vdd: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`failure_probability`."""
+        from scipy.stats import norm
+
         voltages = np.asarray(vdd, dtype=np.float64)
         margins = self.margin_slope_per_volt * (voltages - self.zero_margin_voltage)
         return norm.sf(margins)
@@ -81,6 +84,8 @@ class BitCellType:
         """Lowest supply voltage keeping the cell failure probability <= target."""
         if not 0.0 < target_pcell < 1.0:
             raise ValueError("target_pcell must be in (0, 1)")
+        from scipy.stats import norm
+
         margin_sigmas = float(norm.isf(target_pcell))
         return self.zero_margin_voltage + margin_sigmas / self.margin_slope_per_volt
 

@@ -18,8 +18,6 @@ budget and yield target* (the voltage-scaling argument of Sections 5/6.3).
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import binom
 
 from repro.utils.validation import (
     ensure_non_negative_int,
@@ -47,6 +45,8 @@ def acceptance_yield(
     nf = ensure_non_negative_int(max_faulty_cells, "max_faulty_cells")
     if nf >= m:
         return 1.0
+    from scipy.stats import binom
+
     return float(binom.cdf(nf, m, p))
 
 
@@ -59,6 +59,8 @@ def acceptance_yield_curve(
     nf = np.asarray(max_faulty_cells, dtype=np.int64)
     if (nf < 0).any():
         raise ValueError("max_faulty_cells must be non-negative")
+    from scipy.stats import binom
+
     return binom.cdf(np.minimum(nf, m), m, p)
 
 
@@ -74,6 +76,8 @@ def min_defects_for_yield(
     p = ensure_probability(cell_failure_probability, "cell_failure_probability")
     m = ensure_positive_int(array_size, "array_size")
     target = ensure_probability(yield_target, "yield_target")
+    from scipy.stats import binom
+
     return int(binom.ppf(target, m, p))
 
 
@@ -95,6 +99,8 @@ def max_cell_failure_probability(
         return 1.0
     if nf >= m:
         return 1.0
+    from scipy.optimize import brentq
+    from scipy.stats import binom
 
     def gap(p: float) -> float:
         return binom.cdf(nf, m, p) - target
@@ -126,6 +132,8 @@ def yield_with_redundancy(
     cols = ensure_positive_int(num_columns, "num_columns")
     spares = ensure_non_negative_int(spare_rows, "spare_rows")
     row_fail = 1.0 - (1.0 - p) ** cols
+    from scipy.stats import binom
+
     return float(binom.cdf(spares, rows, row_fail))
 
 

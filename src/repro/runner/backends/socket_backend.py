@@ -233,6 +233,8 @@ class SocketDistributedBackend(ExecutionBackend):
         self._failed_peers: Dict[Tuple[int, int], "frozenset[str]"] = {}
         self._last_activity = time.monotonic()
         self._local_procs: List[subprocess.Popen] = []
+        #: Pids of local daemons that completed a hello at least once.
+        self._hello_pids: Set[int] = set()
         self._stderr_dir: Optional[tempfile.TemporaryDirectory] = None
         #: Set once any non-local worker has connected: from then on,
         #: local-daemon death alone must not abort a run — the external
@@ -471,7 +473,9 @@ class SocketDistributedBackend(ExecutionBackend):
                 conn.slots = max(1, int(slots))
         local_pids = {proc.pid for proc in self._local_procs}
         conn.is_local = len(hello) >= 2 and hello[1] in local_pids
-        if not conn.is_local:
+        if conn.is_local:
+            self._hello_pids.add(hello[1])
+        else:
             self._external_seen = True
         conn.last_frame = time.monotonic()
         with self._connections_lock:
@@ -672,6 +676,13 @@ class SocketDistributedBackend(ExecutionBackend):
                 self._listener.close()
             except OSError:  # pragma: no cover - best effort
                 pass
+        # A local daemon that never said hello holds no work; it is still
+        # retrying the (now closed) listener and would only exit at the
+        # deadline.  Kill it outright — SIGTERM merely requests a drain,
+        # which the connect-retry loop does not poll.
+        for proc in self._local_procs:
+            if proc.pid not in self._hello_pids and proc.poll() is None:
+                proc.kill()
         deadline = time.monotonic() + 5.0
         for proc in self._local_procs:
             remaining = max(0.1, deadline - time.monotonic())

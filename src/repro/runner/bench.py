@@ -1,9 +1,11 @@
 """Link/decoder benchmarks and the float32-LLR BLER characterisation.
 
 ``BENCH_decoder.json`` at the repository root records the performance
-snapshot of the *whole* pipeline: the turbo-decoder kernels (written by
-``benchmarks/test_decoder_throughput.py``), the end-to-end llr-dtype link
-benchmark, and — from this module — the ``front_end`` section comparing the
+snapshot of the *whole* pipeline: the turbo-decoder kernels and the
+end-to-end llr-dtype link benchmark (last recorded by
+``benchmarks/test_decoder_throughput.py``, which now writes only under
+pytest's ``tmp_path``), and — from this module, the file's only writer —
+the ``front_end`` section comparing the
 batched transmit/channel/equalize/demap path against a verbatim copy of the
 pre-batching serial front end, plus the ``decoder_backends`` section
 sweeping every available decoder family × batch size × thread count

@@ -8,6 +8,7 @@ at-least-once redelivery after a dead worker, de-duplication of late or
 duplicate deliveries, and remote-error propagation.
 """
 
+import operator
 import socket
 import threading
 import time
@@ -328,6 +329,24 @@ class TestSocketFailureSemantics:
             assert time.monotonic() - started < 30.0
         finally:
             backend.close()
+
+    @pytest.mark.parametrize("drain_first", [False, True])
+    def test_close_does_not_wait_on_unconnected_local_workers(self, drain_first):
+        """Local daemons that never said hello are killed, not waited on."""
+        backend = SocketDistributedBackend(local_workers=2, worker_timeout=60.0)
+        try:
+            if drain_first:
+                assert list(backend.submit(operator.neg, [1])) == [(0, -1)]
+            else:
+                backend.address  # spawns the daemons; close before they connect
+            procs = list(backend._local_procs)
+            assert len(procs) == 2
+        finally:
+            started = time.monotonic()
+            backend.close()
+            elapsed = time.monotonic() - started
+        assert elapsed < 1.0
+        assert all(proc.poll() is not None for proc in procs)
 
     def test_closed_backend_rejects_new_rounds(self):
         backend = SocketDistributedBackend(local_workers=0)
