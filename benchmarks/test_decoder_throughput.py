@@ -12,8 +12,8 @@ Measures information bits decoded per second on a realistic mixed-noise
 workload (rows from clean to garbage, like a Monte-Carlo sweep's decode
 calls) for
 
-* the **seed** kernel — a faithful copy of the pre-engine decoder, kept
-  here as the fixed baseline,
+* the **seed** kernel — a faithful copy of the pre-engine decoder, kept in
+  :mod:`repro.runner.bench` as the fixed baseline,
 * every available backend of the new engine (numpy, numpy-f32, plus numba /
   native / cupy when importable),
 
@@ -27,8 +27,8 @@ that file.
 
 Set ``REPRO_BENCH_STRICT=1`` to also assert the engine's speedup targets —
 numpy backend >= 3x the seed kernel at the aggregated batch sizes (>= 32)
-and for the aggregated pipeline, >= 2.5x at batch 8 (measured ~3.1x; the
-looser bound absorbs shared-machine jitter).  Kept opt-in because
+and for the aggregated pipeline, >= 2.5x at batch 8 (measured ~6x on a
+2-vCPU Xeon container; the looser bound absorbs shared-machine jitter).  Kept opt-in because
 wall-clock ratios are flaky on shared CI machines.
 """
 
@@ -42,8 +42,8 @@ import numpy as np
 from repro.experiments.scales import SCALES
 from repro.phy.turbo import TurboCode, TurboDecoder
 from repro.phy.turbo.backends import available_backends
-from repro.phy.turbo.interleaver import TurboInterleaver, make_turbo_interleaver
-from repro.phy.turbo.trellis import RscTrellis, UMTS_TRELLIS
+from repro.phy.turbo.interleaver import TurboInterleaver
+from repro.runner.bench import _SeedTurboDecoder
 from repro.runner.tasks import DEFAULT_AGGREGATE_PACKETS
 
 BATCH_SIZES = (8, DEFAULT_AGGREGATE_PACKETS, 128)
@@ -51,105 +51,6 @@ REPEATS = 12
 #: Per-row noise levels cycled through the batch: solid, moderate, hard,
 #: hopeless — the convergence mix a sweep's decode calls actually see.
 NOISE_SIGMAS = (0.8, 1.5, 2.2, 3.0)
-
-_NEG_INF = -1e30
-
-
-# --------------------------------------------------------------------------- #
-# The seed decoder (pre-engine), preserved verbatim as the benchmark baseline.
-# --------------------------------------------------------------------------- #
-class _SeedSisoDecoder:
-    def __init__(self, trellis: RscTrellis, block_size: int) -> None:
-        self.trellis = trellis
-        self.block_size = block_size
-        self._parity_sign = 1.0 - 2.0 * trellis.parity.astype(np.float64)
-        self._input_sign = np.array([1.0, -1.0])
-        self._next_state = trellis.next_state
-        self._prev_state = trellis.prev_state
-        self._prev_input = trellis.prev_input
-
-    def decode(self, sys_llrs, par_llrs, apriori_llrs, *, terminated_start=True):
-        batch, k = sys_llrs.shape
-        num_states = self.trellis.num_states
-        combined = 0.5 * (sys_llrs + apriori_llrs)
-        half_par = 0.5 * par_llrs
-
-        alphas = np.empty((k + 1, batch, num_states), dtype=np.float64)
-        alpha = np.full((batch, num_states), _NEG_INF)
-        if terminated_start:
-            alpha[:, 0] = 0.0
-        else:
-            alpha[:, :] = 0.0
-        alphas[0] = alpha
-
-        prev_state = self._prev_state
-        prev_input = self._prev_input
-        next_state = self._next_state
-        parity_sign = self._parity_sign
-        input_sign = self._input_sign
-        in_sign_for_target = input_sign[prev_input]
-        par_sign_for_target = parity_sign[prev_state, prev_input]
-
-        for t in range(k):
-            c = combined[:, t][:, None, None]
-            p = half_par[:, t][:, None, None]
-            branch = c * in_sign_for_target[None, :, :] + p * par_sign_for_target[None, :, :]
-            candidates = alpha[:, prev_state] + branch
-            alpha = candidates.max(axis=2)
-            alpha -= alpha.max(axis=1, keepdims=True)
-            alphas[t + 1] = alpha
-
-        beta = np.zeros((batch, num_states), dtype=np.float64)
-        app = np.empty((batch, k), dtype=np.float64)
-        in_sign_from_state = input_sign[None, :]
-        par_sign_from_state = parity_sign
-
-        for t in range(k - 1, -1, -1):
-            c = combined[:, t][:, None, None]
-            p = half_par[:, t][:, None, None]
-            branch = c * in_sign_from_state[None, :, :] + p * par_sign_from_state[None, :, :]
-            beta_next = beta[:, next_state]
-            metric = alphas[t][:, :, None] + branch + beta_next
-            app[:, t] = metric[:, :, 0].max(axis=1) - metric[:, :, 1].max(axis=1)
-            beta = (branch + beta_next).max(axis=2)
-            beta -= beta.max(axis=1, keepdims=True)
-
-        return app
-
-
-class _SeedTurboDecoder:
-    """The pre-engine iterative decoder (whole-batch early stopping)."""
-
-    def __init__(self, block_size, num_iterations, interleaver: TurboInterleaver) -> None:
-        self.block_size = block_size
-        self.num_iterations = num_iterations
-        self.extrinsic_scale = 0.75
-        self.interleaver = interleaver
-        self._siso = _SeedSisoDecoder(UMTS_TRELLIS, block_size)
-
-    def decode(self, sys_llrs, par1, par2):
-        batch, k = sys_llrs.shape
-        perm = self.interleaver.permutation
-        sys_interleaved = sys_llrs[:, perm]
-        extrinsic12 = np.zeros((batch, k), dtype=np.float64)
-        previous_hard = None
-        app_llrs = sys_llrs.copy()
-        for _iteration in range(self.num_iterations):
-            apriori1 = np.zeros((batch, k), dtype=np.float64)
-            apriori1[:, perm] = extrinsic12
-            app1 = self._siso.decode(sys_llrs, par1, apriori1)
-            extrinsic1 = self.extrinsic_scale * (app1 - sys_llrs - apriori1)
-            apriori2 = extrinsic1[:, perm]
-            app2 = self._siso.decode(sys_interleaved, par2, apriori2)
-            extrinsic12 = self.extrinsic_scale * (app2 - sys_interleaved - apriori2)
-            app_llrs = np.empty((batch, k), dtype=np.float64)
-            app_llrs[:, perm] = app2
-            hard = (app_llrs < 0).astype(np.int8)
-            if previous_hard is not None and np.all(hard == previous_hard):
-                break
-            previous_hard = hard
-        return (app_llrs < 0).astype(np.int8)
-
 
 # --------------------------------------------------------------------------- #
 @dataclass

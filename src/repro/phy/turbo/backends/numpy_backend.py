@@ -1,26 +1,43 @@
-"""Vectorised numpy max-log-MAP kernel with shared branch metrics.
+"""Vectorised numpy max-log-MAP kernel: both recursions in one trellis loop.
 
-This is the default backend.  Compared with the seed implementation it
+This is the default backend.  At the narrow batches a Monte-Carlo sweep
+decodes (a few dozen rows), the kernel's cost is the number of numpy calls,
+not arithmetic, so it is organised around making few of them:
 
-* precomputes the branch metrics of **every** trellis step once per call and
-  shares the table between the forward and the backward recursion (the seed
-  kernel rebuilt them twice per step) — and builds only the backward-layout
-  table with arithmetic: the forward-layout table contains exactly the same
-  branch values in a different row order, so it is a single fused row-gather
-  of the backward table instead of a second multiply/multiply/add pass,
-* lays all state metrics out *batch-last* (``(num_states, batch)``), so the
-  per-step max-reductions run over the trellis-state axis with a contiguous,
-  SIMD-friendly inner loop over the batch,
-* runs the trellis loop allocation-light with preallocated outputs and the
-  minimum number of numpy calls per step, reusing one lazily-grown
-  workspace across calls (Monte-Carlo decoding calls the kernel millions of
-  times with a handful of distinct shapes), and
-* supports a float32 mode for a smaller memory footprint.
+* **One loop, two recursions.**  The beta recursion does not depend on
+  alpha, so loop step ``t`` advances the forward recursion to step ``t + 1``
+  and the backward recursion to step ``k - 1 - t`` in the same numpy calls.
+  The pair ``[alpha_t ; beta_{k-t}]`` is one ``(2S, batch)`` slab of a
+  ``(k + 1, 2, S, batch)`` history, and a step is five calls: one gather of
+  both directions' predecessor metrics, one add onto the step's branch
+  metrics, one pairwise maximum over the input bit, one max-reduction over
+  the states (per direction) and one normalising subtraction.
+* **One branch table per call.**  Every branch metric ``c * in_sign +
+  p * par_sign`` (``c = 0.5 (Lsys + La)``, ``p = 0.5 Lpar``) is one of the
+  four signed sums ``c + p``, ``c - p``, ``-(c - p)``, ``-(c + p)``.  The
+  table row of loop step ``t`` — the forward branches of step ``t`` beside
+  the backward branches of step ``k - 1 - t`` — is a single ``take`` from
+  those four sums with a per-block-size index.
+* **APP LLRs after the loop.**  The loop adds its gathered metrics onto the
+  table in place, leaving the forward candidates ``alpha_t[s] + branch`` of
+  every branch ``s -> s'`` in it.  Adding ``beta_{t+1}[s']`` and taking the
+  max per input bit gives every step's APP LLR in one vectorised pass,
+  without gathering beta.  Forward rows are grouped by input bit, which
+  needs a trellis whose input-``u`` transitions permute the states (every
+  recursive code with a full-degree feedback polynomial, the UMTS code
+  included); the constructor checks it.
+* State metrics are laid out *batch-last*, so every per-step operation runs
+  a contiguous, SIMD-friendly inner loop over the batch, and all scratch
+  lives in flat pools grown lazily per block size (batches shrink as
+  packets converge, so one call sequence sees many batch widths).
+* A float32 mode trades precision for a smaller memory footprint.
 
 In float64 mode every floating-point operation is performed on the same
-operands in the same order as the seed kernel (max-reductions are exact, so
-their grouping is free), making the decoder output bit-identical — the
-property the golden-seed regression suite pins.
+operands in the same order as the seed kernel — multiplying by ``±1`` and
+negating are exact, IEEE addition is commutative and max-reductions are
+exact, so their grouping and the order of the states they run over are
+free — making the decoder output bit-identical, the property the
+golden-seed regression suite pins.
 """
 
 from __future__ import annotations
@@ -38,28 +55,30 @@ class _Workspace:
 
     Batches shrink as packets converge, so one call sees many distinct
     batch sizes; carving *contiguous* views out of flat pools keeps every
-    per-step operand SIMD-friendly without reallocating per size.
+    per-step operand SIMD-friendly without reallocating per size.  The
+    branch-table gather index depends on the block size only and lives
+    here too.
     """
 
     _POOLS = {
-        "combined": lambda b, k, s: b * k,
-        "half_par": lambda b, k, s: b * k,
-        "branch_fwd": lambda b, k, s: k * 2 * s * b,
-        "branch_bwd": lambda b, k, s: k * 2 * s * b,
-        "branch_tmp": lambda b, k, s: k * 2 * s * b,
-        "alphas": lambda b, k, s: (k + 1) * s * b,
-        "beta": lambda b, k, s: s * b,
-        "metric": lambda b, k, s: 2 * s * b,
-        "gsum": lambda b, k, s: 2 * s * b,
-        "best": lambda b, k, s: 2 * b,
-        "rowmax": lambda b, k, s: b,
-        "app_t": lambda b, k, s: k * b,
+        "sums": lambda b, k, s: 4 * k * b,
+        "branch": lambda b, k, s: 4 * k * s * b,
+        "history": lambda b, k, s: 2 * (k + 1) * s * b,
+        "rowmax": lambda b, k, s: 2 * b,
     }
 
-    def __init__(self, capacity: int, k: int, num_states: int, dtype: np.dtype) -> None:
+    def __init__(
+        self,
+        capacity: int,
+        k: int,
+        num_states: int,
+        dtype: np.dtype,
+        branch_index: np.ndarray,
+    ) -> None:
         self.capacity = capacity
         self.k = k
         self.num_states = num_states
+        self.branch_index = branch_index
         self._buffers = {
             name: np.empty(size(capacity, k, num_states), dtype=dtype)
             for name, size in self._POOLS.items()
@@ -74,7 +93,7 @@ class _Workspace:
 
 
 class NumpySisoBackend(SisoBackend):
-    """The rewritten vectorised numpy kernel (float64 or float32)."""
+    """The vectorised numpy kernel (float64 or float32)."""
 
     def __init__(
         self,
@@ -83,48 +102,69 @@ class NumpySisoBackend(SisoBackend):
         spec: BackendSpec = BackendSpec("numpy", "float64"),
     ) -> None:
         super().__init__(trellis, block_size, spec)
-        dtype = self.dtype
         num_states = trellis.num_states
-        parity_sign = 1.0 - 2.0 * trellis.parity.astype(np.float64)  # (S, 2)
-        input_sign = np.array([1.0, -1.0])
-        prev_state = trellis.prev_state  # (S, 2)
-        prev_input = trellis.prev_input  # (S, 2)
-        next_state = trellis.next_state  # (S, 2)
+        states = np.arange(num_states)
+        next_state = trellis.next_state.astype(np.intp)  # (S, 2)
+        parity = trellis.parity.astype(np.intp)  # (S, 2)
+        if not np.array_equal(np.sort(next_state, axis=0), np.stack([states, states], 1)):
+            raise ValueError(
+                "the numpy kernel needs a trellis whose input-u transitions "
+                "permute the states (one incoming branch per input bit)"
+            )
+        # prev_by_input[s', u]: the state that input u takes to s'.
+        prev_by_input = np.empty_like(next_state)
+        for u in (0, 1):
+            prev_by_input[next_state[:, u], u] = states
 
-        # Plane-major forward layout: flat row j * S + s' is the branch from
-        # predecessor slot j into target state s', so the two predecessor
-        # candidates of every state live in two contiguous planes and the
-        # j-max is one contiguous pairwise maximum.
-        self._prev_flat = prev_state.T.reshape(-1).astype(np.intp)
-
-        # Plane-major backward layout: flat row u * S + s is the branch
-        # leaving state s with input u.
-        self._next_flat = next_state.T.reshape(-1).astype(np.intp)
-        self._in_sign_bwd = np.repeat(input_sign, num_states).reshape(-1, 1).astype(dtype)
-        self._par_sign_bwd = parity_sign.T.reshape(-1, 1).astype(dtype)
-
-        # Fused branch-table build: forward row j * S + s' describes the same
-        # trellis branch as backward row u * S + s with (s, u) =
-        # (prev_state[s', j], prev_input[s', j]) — identical operands,
-        # identical float operations — so the forward table is a pure row
-        # gather of the backward table at this permutation.  One arithmetic
-        # build (two multiplies + one add) serves both recursions, and the
-        # gathered floats are bit-identical to what a second build would
-        # produce, which is what keeps the golden suite pinned.
-        self._fwd_from_bwd = (
-            (prev_input.T * num_states + prev_state.T).reshape(-1).astype(np.intp)
+        # Table row of one loop step, plane-major over the input bit u:
+        # [fwd u=0 | bwd u=0 | fwd u=1 | bwd u=1], S rows each.  Forward row
+        # (u, s') is the branch into s' with input u, backward row (u, s) the
+        # branch out of s with input u.  The gather below lines the
+        # [alpha ; beta] slab up with it, so one pairwise maximum of the two
+        # planes yields the next [alpha ; beta].
+        self._step_index = np.concatenate(
+            [
+                prev_by_input[:, 0],
+                next_state[:, 0] + num_states,
+                prev_by_input[:, 1],
+                next_state[:, 1] + num_states,
+            ]
+        )
+        # Which signed sum (0: c+p, 1: c-p, 2: -(c-p), 3: -(c+p), i.e.
+        # 2 * input + parity) each row of the table carries: (u, direction, s).
+        inputs = np.array([0, 1])
+        self._row_sum = np.stack(
+            [
+                2 * inputs[:, None] + parity[prev_by_input.T, inputs[:, None]],
+                2 * inputs[:, None] + parity.T,
+            ],
+            axis=1,
         )
 
         self._num_states = num_states
         self._workspaces: Dict[int, _Workspace] = {}
 
     # ------------------------------------------------------------------ #
+    def _branch_index(self, k: int) -> np.ndarray:
+        """Rows of the ``(4k, batch)`` signed-sum stack forming the table.
+
+        Sum ``m`` of step ``t`` is row ``m * k + t``.  Result shape
+        ``(k, 2, 2, S)``: ``[t, u, 0]`` are the forward branches of step
+        ``t``, ``[t, u, 1]`` the backward branches of step ``k - 1 - t``.
+        """
+        steps = np.arange(k)
+        step_of = np.stack([steps, k - 1 - steps], axis=1)  # (k, direction)
+        return self._row_sum * k + step_of[:, None, :, None]
+
     def _workspace(self, batch: int, k: int) -> _Workspace:
         """The (grown-on-demand) scratch buffers for this block size."""
         ws = self._workspaces.get(k)
         if ws is None or ws.capacity < batch:
-            capacity = batch if ws is None else max(batch, 2 * ws.capacity)
-            ws = _Workspace(capacity, k, self._num_states, self.dtype)
+            if ws is None:
+                capacity, index = batch, self._branch_index(k)
+            else:
+                capacity, index = max(batch, 2 * ws.capacity), ws.branch_index
+            ws = _Workspace(capacity, k, self._num_states, self.dtype, index)
             self._workspaces[k] = ws
         return ws
 
@@ -140,78 +180,61 @@ class NumpySisoBackend(SisoBackend):
     ) -> np.ndarray:
         batch, k = sys_llrs.shape
         num_states = self._num_states
-        wide = 2 * num_states
         ws = self._workspace(batch, k)
-        np_add, np_subtract, np_maximum = np.add, np.subtract, np.maximum
-        max_reduce = np.maximum.reduce
+        np_maximum, max_reduce = np.maximum, np.maximum.reduce
 
-        # gamma components: 0.5 * (Lsys + La) and 0.5 * Lpar, as in the seed.
-        combined = ws.view("combined", (batch, k))
-        np_add(sys_llrs, apriori_llrs, out=combined)
-        combined *= 0.5
-        half_par = np.multiply(par_llrs, 0.5, out=ws.view("half_par", (batch, k)))
+        # The four signed sums of c = 0.5 * (Lsys + La) and p = 0.5 * Lpar,
+        # step-major; c and p are computed as in the seed kernel and then
+        # overwritten by the sums that need them no more.
+        sums = ws.view("sums", (4, k, batch))
+        c, p = sums[2], sums[3]
+        np.add(sys_llrs.T, apriori_llrs.T, out=c)
+        c *= 0.5
+        np.multiply(par_llrs.T, 0.5, out=p)
+        np.add(c, p, out=sums[0])
+        np.subtract(c, p, out=sums[1])
+        np.negative(sums[1], out=sums[2])
+        np.negative(sums[0], out=sums[3])
 
-        # Branch-metric tables for every step at once, shared by both
-        # recursions: branch[t, m, b] = c[b, t] * in_sign[m] + p[b, t] * par_sign[m].
-        # Only the backward layout is built arithmetically; the forward
-        # layout holds the same branch values in permuted row order, so it
-        # is one fused gather of the rows just computed (bit-identical to a
-        # second multiply/multiply/add build, at a fraction of the cost).
-        c_steps = combined.T[:, None, :]  # (k, 1, batch) view
-        p_steps = half_par.T[:, None, :]
-        branch_fwd = ws.view("branch_fwd", (k, wide, batch))
-        branch_bwd = ws.view("branch_bwd", (k, wide, batch))
-        branch_tmp = ws.view("branch_tmp", (k, wide, batch))
-        np.multiply(c_steps, self._in_sign_bwd, out=branch_bwd)
-        np.multiply(p_steps, self._par_sign_bwd, out=branch_tmp)
-        branch_bwd += branch_tmp
-        np.take(branch_bwd, self._fwd_from_bwd, axis=1, out=branch_fwd)
+        # Branch table [step, input, direction, state, batch].  The indices
+        # are in range by construction; mode="clip" lets take write into the
+        # pool directly instead of through a bounds-checked temporary.
+        branch = ws.view("branch", (k, 2, 2, num_states, batch))
+        np.take(
+            sums.reshape(4 * k, batch), ws.branch_index, axis=0, out=branch, mode="clip"
+        )
 
-        # Forward recursion (all alphas stored, normalised per step).
-        alphas = ws.view("alphas", (k + 1, num_states, batch))
-        alpha = alphas[0]
+        # history[t] = [alpha_t ; beta_{k-t}], normalised per direction.
+        history = ws.view("history", (k + 1, 2, num_states, batch))
+        start = history[0]
+        start.fill(0.0)
         if terminated_start:
-            alpha.fill(NEG_INF)
-            alpha[0, :] = 0.0
-        else:
-            alpha.fill(0.0)
-        prev_flat = self._prev_flat
-        rowmax = ws.view("rowmax", (batch,))
-        for t in range(k):
-            cand = alpha.take(prev_flat, axis=0)
-            cand += branch_fwd[t]
-            nxt = alphas[t + 1]
-            np_maximum(cand[:num_states], cand[num_states:], out=nxt)
-            max_reduce(nxt, axis=0, out=rowmax)
+            start[0].fill(NEG_INF)
+            start[0, 0] = 0.0
+        slabs = history.reshape(k + 1, 2 * num_states, batch)
+        rowmax = ws.view("rowmax", (2, 1, batch))
+        step_index = self._step_index
+        # Each step adds the gathered metrics onto its table row in place,
+        # so after the loop the forward half of row t holds the forward
+        # candidates alpha_t[s] + branch(s -> s') — the APP pass needs them.
+        rows = branch.reshape(k, 4 * num_states, batch)
+        planes = branch.reshape(k, 2, 2 * num_states, batch)
+        for slab, row, plane0, plane1, nxt_slab, nxt in zip(
+            slabs, rows, planes[:, 0], planes[:, 1], slabs[1:], history[1:]
+        ):
+            row += slab.take(step_index, axis=0)
+            np_maximum(plane0, plane1, out=nxt_slab)
+            max_reduce(nxt, axis=1, keepdims=True, out=rowmax)
             nxt -= rowmax
-            alpha = nxt
 
-        # Backward recursion with on-the-fly LLR computation; APP LLRs are
-        # produced step-major and transposed once at the end.  The
-        # (alpha + branch) part of every step's metric is hoisted out of the
-        # loop into one vectorised add (branch_tmp is free again by now).
-        absum = branch_tmp.reshape(k, 2, num_states, batch)
-        np_add(alphas[:k, None], branch_bwd.reshape(k, 2, num_states, batch), out=absum)
-        absum_flat = branch_tmp
-        beta = ws.view("beta", (num_states, batch))
-        beta.fill(0.0)
-        metric = ws.view("metric", (wide, batch))
-        metric3 = metric.reshape(2, num_states, batch)
-        gsum = ws.view("gsum", (wide, batch))
-        best = ws.view("best", (2, batch))
-        app_t = ws.view("app_t", (k, batch))
-        next_flat = self._next_flat
-        for t in range(k - 1, -1, -1):
-            bnext = beta.take(next_flat, axis=0)
-            # metric = (alpha + branch) + beta_next, in the seed's add order.
-            np_add(absum_flat[t], bnext, out=metric)
-            max_reduce(metric3, axis=1, out=best)
-            np_subtract(best[0], best[1], out=app_t[t])
-            # beta update: max over inputs of (branch + beta_next), normalised.
-            np_add(branch_bwd[t], bnext, out=gsum)
-            np_maximum(gsum[:num_states], gsum[num_states:], out=beta)
-            max_reduce(beta, axis=0, out=rowmax)
-            beta -= rowmax
-
-        np.copyto(out, app_t.T)
+        # APP LLRs for every step at once: metric = (alpha_t[s] + branch) +
+        # beta_{t+1}[s'], the seed's operands in the seed's order, enumerated
+        # by target state s' instead of source state s (the same set of
+        # branches per input, so the same maxima).  beta_{t+1} is
+        # history[k - 1 - t].
+        metric = branch[:, :, 0]
+        metric += history[k - 1 :: -1, None, 1]
+        best = ws.view("sums", (k, 2, batch))
+        max_reduce(metric, axis=2, out=best)
+        np.subtract(best[:, 0], best[:, 1], out=out.T)
         return out

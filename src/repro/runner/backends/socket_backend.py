@@ -92,9 +92,9 @@ class _WorkerConnection:
         self.credits = threading.Semaphore(0)
         #: Slot count the worker advertised in its hello (legacy hellos -> 1).
         self.slots = 1
-        #: Whether this connection came from a daemon this coordinator
-        #: spawned itself (matched by hello pid) — drives liveness policy.
-        self.is_local = False
+        #: The hello pid when this connection came from a daemon this
+        #: coordinator spawned itself, else ``None``.
+        self.local_pid: Optional[int] = None
         #: Monotonic time of the last frame received from this worker
         #: (results, errors and heartbeats all count as liveness).
         self.last_frame = time.monotonic()
@@ -472,13 +472,21 @@ class SocketDistributedBackend(ExecutionBackend):
             if slots:
                 conn.slots = max(1, int(slots))
         local_pids = {proc.pid for proc in self._local_procs}
-        conn.is_local = len(hello) >= 2 and hello[1] in local_pids
-        if conn.is_local:
-            self._hello_pids.add(hello[1])
+        if len(hello) >= 2 and hello[1] in local_pids:
+            conn.local_pid = hello[1]
         else:
             self._external_seen = True
         conn.last_frame = time.monotonic()
+        # Registering the pid and the connection is one step under the lock
+        # close() decides under: a local daemon is then either among the
+        # connections it sends "shutdown" to or among the processes it
+        # kills, never neither (which left close() waiting out its deadline).
         with self._connections_lock:
+            if self._closing:
+                conn.sock.close()
+                return
+            if conn.local_pid is not None:
+                self._hello_pids.add(conn.local_pid)
             self._connections.append(conn)
         self._last_activity = time.monotonic()
         telemetry.inc("backend_worker_connects_total", worker=conn.peer)
@@ -662,26 +670,34 @@ class SocketDistributedBackend(ExecutionBackend):
     def close(self) -> None:
         if self._closing:
             return
-        self._closing = True
+        # A local daemon that never said hello holds no work; it is still
+        # retrying the (now closed) listener and would only exit at the
+        # deadline.  Kill it outright — SIGTERM merely requests a drain,
+        # which the connect-retry loop does not poll.  Deciding under the
+        # lock _handshake registers under leaves no daemon half-registered.
         with self._connections_lock:
+            self._closing = True
             connections = list(self._connections)
+            doomed = {
+                proc.pid for proc in self._local_procs
+                if proc.pid not in self._hello_pids
+            }
         for conn in connections:
             try:
                 with conn.send_lock:
                     send_message(conn.sock, ("shutdown",))
             except OSError:
-                pass
+                # Its dispatcher already retired it: no shutdown frame will
+                # arrive, so a local daemon would reconnect until the deadline.
+                if conn.local_pid is not None:
+                    doomed.add(conn.local_pid)
         if self._listener is not None:
             try:
                 self._listener.close()
             except OSError:  # pragma: no cover - best effort
                 pass
-        # A local daemon that never said hello holds no work; it is still
-        # retrying the (now closed) listener and would only exit at the
-        # deadline.  Kill it outright — SIGTERM merely requests a drain,
-        # which the connect-retry loop does not poll.
         for proc in self._local_procs:
-            if proc.pid not in self._hello_pids and proc.poll() is None:
+            if proc.pid in doomed and proc.poll() is None:
                 proc.kill()
         deadline = time.monotonic() + 5.0
         for proc in self._local_procs:

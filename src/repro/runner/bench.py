@@ -12,12 +12,16 @@ sweeping every available decoder family × batch size × thread count
 (``repro bench decoder``) with a BLER-parity check for the max-log
 families.
 
-The seed implementations below are faithful copies of the serial code as it
-stood before the front end grew its ``(num_packets, ...)`` batch axis: a
-per-packet MMSE design with no filter cache, a per-packet channel pass and a
-per-packet demap.  They are kept here (like ``_SeedTurboDecoder`` in the
-benchmark suite) as the fixed baseline so the reported speedup keeps meaning
-the same thing as the live code evolves.
+This module is also the repository's one home for frozen baselines — the
+seed implementations the live code is measured and byte-checked against, so
+a reported speedup keeps meaning the same thing as the code evolves:
+
+* the serial front end as it stood before it grew its ``(num_packets, ...)``
+  batch axis: a per-packet MMSE design with no filter cache, a per-packet
+  channel pass and a per-packet demap;
+* the pre-engine turbo decoder (``_SeedSisoDecoder`` / ``_SeedTurboDecoder``),
+  the decoder benchmark's baseline and the reference the numpy kernel's
+  float64 output must equal byte for byte.
 
 The batched path is byte-identical to the seed path by construction — the
 benchmark asserts ``np.array_equal`` between the two before timing anything.
@@ -35,6 +39,8 @@ import numpy as np
 from repro.channel.awgn import awgn_noise
 from repro.experiments.scales import get_scale
 from repro.link.system import HspaLikeLink, PacketGroup
+from repro.phy.turbo.interleaver import TurboInterleaver
+from repro.phy.turbo.trellis import UMTS_TRELLIS, RscTrellis
 from repro.utils.rng import as_rng, child_rngs
 
 #: Repository-root benchmark snapshot shared with the decoder benchmarks.
@@ -189,6 +195,107 @@ def _batched_front_end_pass(link: HspaLikeLink, inputs, snr_db: float):
     ]
     redundancy_version = link.config.combining.redundancy_version(0)
     return link._front_end_round(states, 0, redundancy_version)
+
+
+# --------------------------------------------------------------------------- #
+# The seed (pre-engine) turbo decoder, preserved verbatim as the fixed
+# baseline of the decoder benchmark and the numpy kernel's identity tests.
+# --------------------------------------------------------------------------- #
+#: Log-domain "impossible state" metric of the seed kernel.
+_SEED_NEG_INF = -1e30
+
+
+class _SeedSisoDecoder:
+    def __init__(self, trellis: RscTrellis, block_size: int) -> None:
+        self.trellis = trellis
+        self.block_size = block_size
+        self._parity_sign = 1.0 - 2.0 * trellis.parity.astype(np.float64)
+        self._input_sign = np.array([1.0, -1.0])
+        self._next_state = trellis.next_state
+        self._prev_state = trellis.prev_state
+        self._prev_input = trellis.prev_input
+
+    def decode(self, sys_llrs, par_llrs, apriori_llrs, *, terminated_start=True):
+        batch, k = sys_llrs.shape
+        num_states = self.trellis.num_states
+        combined = 0.5 * (sys_llrs + apriori_llrs)
+        half_par = 0.5 * par_llrs
+
+        alphas = np.empty((k + 1, batch, num_states), dtype=np.float64)
+        alpha = np.full((batch, num_states), _SEED_NEG_INF)
+        if terminated_start:
+            alpha[:, 0] = 0.0
+        else:
+            alpha[:, :] = 0.0
+        alphas[0] = alpha
+
+        prev_state = self._prev_state
+        prev_input = self._prev_input
+        next_state = self._next_state
+        parity_sign = self._parity_sign
+        input_sign = self._input_sign
+        in_sign_for_target = input_sign[prev_input]
+        par_sign_for_target = parity_sign[prev_state, prev_input]
+
+        for t in range(k):
+            c = combined[:, t][:, None, None]
+            p = half_par[:, t][:, None, None]
+            branch = c * in_sign_for_target[None, :, :] + p * par_sign_for_target[None, :, :]
+            candidates = alpha[:, prev_state] + branch
+            alpha = candidates.max(axis=2)
+            alpha -= alpha.max(axis=1, keepdims=True)
+            alphas[t + 1] = alpha
+
+        beta = np.zeros((batch, num_states), dtype=np.float64)
+        app = np.empty((batch, k), dtype=np.float64)
+        in_sign_from_state = input_sign[None, :]
+        par_sign_from_state = parity_sign
+
+        for t in range(k - 1, -1, -1):
+            c = combined[:, t][:, None, None]
+            p = half_par[:, t][:, None, None]
+            branch = c * in_sign_from_state[None, :, :] + p * par_sign_from_state[None, :, :]
+            beta_next = beta[:, next_state]
+            metric = alphas[t][:, :, None] + branch + beta_next
+            app[:, t] = metric[:, :, 0].max(axis=1) - metric[:, :, 1].max(axis=1)
+            beta = (branch + beta_next).max(axis=2)
+            beta -= beta.max(axis=1, keepdims=True)
+
+        return app
+
+
+class _SeedTurboDecoder:
+    """The pre-engine iterative decoder (whole-batch early stopping)."""
+
+    def __init__(self, block_size, num_iterations, interleaver: TurboInterleaver) -> None:
+        self.block_size = block_size
+        self.num_iterations = num_iterations
+        self.extrinsic_scale = 0.75
+        self.interleaver = interleaver
+        self._siso = _SeedSisoDecoder(UMTS_TRELLIS, block_size)
+
+    def decode(self, sys_llrs, par1, par2):
+        batch, k = sys_llrs.shape
+        perm = self.interleaver.permutation
+        sys_interleaved = sys_llrs[:, perm]
+        extrinsic12 = np.zeros((batch, k), dtype=np.float64)
+        previous_hard = None
+        app_llrs = sys_llrs.copy()
+        for _iteration in range(self.num_iterations):
+            apriori1 = np.zeros((batch, k), dtype=np.float64)
+            apriori1[:, perm] = extrinsic12
+            app1 = self._siso.decode(sys_llrs, par1, apriori1)
+            extrinsic1 = self.extrinsic_scale * (app1 - sys_llrs - apriori1)
+            apriori2 = extrinsic1[:, perm]
+            app2 = self._siso.decode(sys_interleaved, par2, apriori2)
+            extrinsic12 = self.extrinsic_scale * (app2 - sys_interleaved - apriori2)
+            app_llrs = np.empty((batch, k), dtype=np.float64)
+            app_llrs[:, perm] = app2
+            hard = (app_llrs < 0).astype(np.int8)
+            if previous_hard is not None and np.all(hard == previous_hard):
+                break
+            previous_hard = hard
+        return (app_llrs < 0).astype(np.int8)
 
 
 # --------------------------------------------------------------------------- #

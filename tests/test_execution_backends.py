@@ -348,6 +348,37 @@ class TestSocketFailureSemantics:
         assert elapsed < 1.0
         assert all(proc.poll() is not None for proc in procs)
 
+    def test_close_during_handshake_registration_does_not_stall(self):
+        """A daemon caught mid-registration is shut down or killed, not waited on.
+
+        The handshake is held right after it records the daemon's pid; on a
+        coordinator that registers the pid and the connection as two
+        unlocked steps, close() then neither sends that daemon "shutdown"
+        nor kills it and waits out its 5 s deadline.
+        """
+        reached, release = threading.Event(), threading.Event()
+
+        class _StallingPids(set):
+            def add(self, pid):
+                super().add(pid)
+                reached.set()
+                release.wait(10.0)
+
+        backend = SocketDistributedBackend(local_workers=1, worker_timeout=60.0)
+        backend._hello_pids = _StallingPids()
+        try:
+            backend.address  # spawns the daemon
+            procs = list(backend._local_procs)
+            assert reached.wait(60.0), "the daemon never said hello"
+            threading.Timer(0.2, release.set).start()
+        finally:
+            started = time.monotonic()
+            backend.close()
+            elapsed = time.monotonic() - started
+            release.set()
+        assert elapsed < 1.0
+        assert all(proc.poll() is not None for proc in procs)
+
     def test_closed_backend_rejects_new_rounds(self):
         backend = SocketDistributedBackend(local_workers=0)
         backend.close()
