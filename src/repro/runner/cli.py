@@ -103,6 +103,8 @@ GOLDEN_SCENARIOS = (
     "clustered-vs-uniform",
     "soft-vs-hard-faults",
     "clustered-interleaver-depth",
+    "stuckat-vs-bitflip",
+    "ecc-low-voltage",
 )
 #: Fault-map sweeps that support ``--adaptive`` early stopping.
 ADAPTIVE_EXPERIMENTS = ("fig6", "fig7", "fig8", "fig9")
