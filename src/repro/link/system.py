@@ -40,7 +40,13 @@ import numpy as np
 
 from repro.channel.fading import jakes_gains_batch
 from repro.channel.multipath import MultipathChannel
-from repro.harq.buffer import LlrSoftBuffer, TransmissionSoftBuffer
+from repro.harq.buffer import (
+    LlrSoftBuffer,
+    TransmissionSoftBuffer,
+    combine_and_store_batch,
+    load_transmission_batch,
+    store_transmission_batch,
+)
 from repro.harq.controller import HarqPacketResult
 from repro.harq.metrics import HarqStatistics, aggregate_results
 from repro.link.config import LinkConfig
@@ -280,10 +286,12 @@ class HspaLikeLink:
             channel_llrs = self.receiver.front_end_batch(
                 received, impulse_responses, noise_variances, fading_gains=fading_gains
             )
-            for row, state in enumerate(states):
-                state.buffer.store_transmission(
-                    transmission_index, channel_llrs[row], redundancy_version
-                )
+            store_transmission_batch(
+                [state.buffer for state in states],
+                transmission_index,
+                channel_llrs,
+                redundancy_version,
+            )
             combined = self._combined_mother_rows(states)
         else:
             mother_llrs = self.receiver.process_transmission_batch(
@@ -293,11 +301,8 @@ class HspaLikeLink:
                 redundancy_version,
                 fading_gains=fading_gains,
             )
-            combined = np.stack(
-                [
-                    state.buffer.combine_and_store(mother_llrs[row])
-                    for row, state in enumerate(states)
-                ]
+            combined = combine_and_store_batch(
+                [state.buffer for state in states], mother_llrs
             )
         for state in states:
             state.transmissions += 1
@@ -373,11 +378,13 @@ class HspaLikeLink:
         """Batched HARQ read-combine across the per-transmission buffers.
 
         Mirrors :meth:`TransmissionSoftBuffer.combined_mother_llrs` exactly:
-        slots are visited in ascending order (each buffer's transient-upset
-        stream advances in the serial read order) and each packet's mother
-        rows accumulate in ascending-slot order, so every row is
-        bit-identical to the per-packet loop.  Rows with the same stored
-        redundancy version share one de-interleave / de-rate-match gather.
+        slots are visited in ascending order, each slot read for all
+        buffers holding it in one :func:`load_transmission_batch` call (each
+        buffer's transient-upset stream advances in the serial read order),
+        and each packet's mother rows accumulate in ascending-slot order, so
+        every row is bit-identical to the per-packet loop.  Rows with the
+        same stored redundancy version share one de-interleave /
+        de-rate-match gather.
         """
         batch = len(states)
         combined = np.empty((batch, self.config.num_coded_bits), dtype=np.float64)
@@ -390,13 +397,9 @@ class HspaLikeLink:
             ]
             if not rows:
                 continue
-            loaded = []
-            versions = []
-            for index in rows:
-                llrs, redundancy_version = states[index].buffer.load_transmission(slot)
-                loaded.append(llrs)
-                versions.append(redundancy_version)
-            stacked = np.stack(loaded)
+            stacked, versions = load_transmission_batch(
+                [states[index].buffer for index in rows], slot
+            )
             mother = np.empty((len(rows), self.config.num_coded_bits), dtype=np.float64)
             for version in dict.fromkeys(versions):
                 selector = [j for j, rv in enumerate(versions) if rv == version]

@@ -6,15 +6,27 @@ single-error-correcting (SEC) Hamming code costs about 35 % area overhead
 This module implements SEC and SEC-DED Hamming codes over configurable data
 widths so those overheads — and the actual error-correction behaviour — can
 be reproduced rather than assumed.
+
+The memory arrays store whole codewords as packed integers, so the code also
+works on words: :meth:`HammingCode.encode_words` is a lookup in a
+``2**data_bits`` table and :meth:`HammingCode.decode_words` corrects through
+a ``2**r`` per-syndrome table, both built from the bit-matrix
+:meth:`~HammingCode.encode` / :meth:`~HammingCode.decode` they must agree
+with.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.memory.faults import pack_bits, unpack_words
 from repro.utils.validation import ensure_positive_int
+
+#: Widest data word the lookup tables of the word-level codec cover.
+MAX_TABLE_DATA_BITS = 16
 
 
 def _num_parity_bits(data_bits: int) -> int:
@@ -165,6 +177,35 @@ class HammingCode:
             corrected &= ~double_error
         return corrected_data.astype(np.int8), corrected, uncorrectable
 
+    def encode_words(self, data_words: np.ndarray) -> np.ndarray:
+        """Encode packed data words into packed codewords (data in the MSBs).
+
+        Word-level :meth:`encode`: bit ``j`` of the codeword layout
+        ``[data | parity | (DED)]`` is bit ``codeword_bits - 1 - j`` of the
+        returned integer.
+        """
+        words = np.asarray(data_words, dtype=np.int64)
+        if words.size and (words.min() < 0 or words.max() >> self.data_bits):
+            raise ValueError(f"data words must fit in {self.data_bits} bits")
+        encode_table, _, _ = _word_tables(self.data_bits, self.extended)
+        return encode_table[words]
+
+    def decode_words(self, codewords: np.ndarray) -> np.ndarray:
+        """Decode packed (possibly corrupted) codewords into data words.
+
+        Word-level :meth:`decode` (data only): the syndrome is the stored
+        parity XOR the parity of the stored data, and the per-syndrome table
+        flips the data bit :meth:`decode` would correct.
+        """
+        _, parity_table, correction_table = _word_tables(self.data_bits, self.extended)
+        words = np.asarray(codewords, dtype=np.int64)
+        check_bits = self.codeword_bits - self.data_bits
+        data = words >> check_bits
+        syndrome = (words >> int(self.extended)) & ((1 << self.num_parity_bits) - 1)
+        syndrome ^= parity_table[data]
+        data ^= correction_table[syndrome]
+        return data
+
     # ------------------------------------------------------------------ #
     def word_failure_probability(self, cell_failure_probability: float) -> float:
         """Probability that a word is *not* fully corrected.
@@ -178,3 +219,29 @@ class HammingCode:
         n = self.codeword_bits
         p = float(cell_failure_probability)
         return float(1.0 - binom.cdf(1, n, p))
+
+
+@functools.lru_cache(maxsize=None)
+def _word_tables(data_bits: int, extended: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(codeword, parity, correction)`` lookup tables of one code.
+
+    ``codeword[d]`` is the packed codeword of data word ``d`` and
+    ``parity[d]`` its parity field; ``correction[s]`` is the data-bit flip
+    :meth:`HammingCode.decode` applies for syndrome ``s`` (read off by
+    decoding an all-zero data word whose parity field is ``s``).
+    """
+    if data_bits > MAX_TABLE_DATA_BITS:
+        raise ValueError(
+            f"word-level ECC covers at most {MAX_TABLE_DATA_BITS} data bits, got {data_bits}"
+        )
+    code = HammingCode(data_bits, extended)
+    r = code.num_parity_bits
+    codewords = pack_bits(code.encode(unpack_words(np.arange(1 << data_bits), data_bits)))
+    parity = (codewords >> int(extended)) & ((1 << r) - 1)
+    received = np.zeros((1 << r, code.codeword_bits), dtype=np.int8)
+    received[:, data_bits : data_bits + r] = unpack_words(np.arange(1 << r), r)
+    corrected, _, _ = code.decode(received)
+    correction = pack_bits(corrected)
+    for table in (codewords, parity, correction):
+        table.flags.writeable = False
+    return codewords, parity, correction

@@ -6,11 +6,20 @@ stored bit maps to a faulty cell "the bit is inverted to indicate a
 bit-error".  This module generates those fault maps (exactly-Nf, Bernoulli
 per-cell, or clustered) and applies the chosen fault semantics (bit-flip,
 stuck-at-0/1) to stored data.
+
+Stored data is word-level: each word is one integer whose bits are the
+word's cells, column 0 the most significant (:func:`pack_bits` /
+:func:`unpack_words`).  A map therefore compiles, once, into two packed
+per-word masks ``(keep, flip)`` (:meth:`FaultMap.word_masks`), and reading a
+stored word through the faulty cells is ``(stored & keep) ^ flip``: bit-flip
+faults keep every bit and flip the faulty ones, stuck-at faults clear the
+faulty bits and set those stuck at 1.  :meth:`FaultMap.apply_to_bits` keeps
+the bit-matrix form of the same semantics as the reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -18,6 +27,19 @@ import numpy as np
 
 from repro.utils.rng import RngLike, as_rng
 from repro.utils.validation import ensure_non_negative_int, ensure_positive_int, ensure_probability
+
+
+def pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Pack a ``(..., width)`` bit matrix (column 0 the MSB) into int64 words."""
+    mat = np.asarray(bits, dtype=np.int64)
+    weights = 1 << np.arange(mat.shape[-1] - 1, -1, -1, dtype=np.int64)
+    return mat @ weights
+
+
+def unpack_words(words: np.ndarray, width: int) -> np.ndarray:
+    """Expand integer words into a ``(..., width)`` int8 bit matrix, MSB first."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    return ((np.asarray(words, dtype=np.int64)[..., None] >> shifts) & 1).astype(np.int8)
 
 
 class FaultModel(str, Enum):
@@ -133,8 +155,11 @@ class FaultMap:
     fault_model:
         Read-out semantics of faulty cells.
     stuck_values:
-        For stuck-at models, the value each faulty cell is stuck at (same
-        shape as :attr:`fault_mask`; ignored for bit-flip faults).
+        For stuck-at models, the value (0 or 1) each faulty cell is stuck at
+        (same shape as :attr:`fault_mask`; ignored for bit-flip faults).
+
+    The masks and stuck values must not be mutated after construction: the
+    packed read masks of :meth:`word_masks` are built from them once.
     """
 
     num_words: int
@@ -142,6 +167,9 @@ class FaultMap:
     fault_mask: np.ndarray
     fault_model: FaultModel = FaultModel.BIT_FLIP
     stuck_values: Optional[np.ndarray] = None
+    _word_masks: Optional[tuple] = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         ensure_positive_int(self.num_words, "num_words")
@@ -157,7 +185,16 @@ class FaultMap:
         if self.fault_model in (FaultModel.STUCK_AT_0, FaultModel.STUCK_AT_1):
             value = 0 if self.fault_model is FaultModel.STUCK_AT_0 else 1
             self.stuck_values = np.full(mask.shape, value, dtype=np.int8)
-        elif self.fault_model is FaultModel.STUCK_AT_RANDOM and self.stuck_values is None:
+        elif self.stuck_values is not None:
+            stuck = np.asarray(self.stuck_values)
+            if stuck.shape != mask.shape:
+                raise ValueError(
+                    f"stuck_values shape {stuck.shape} does not match fault_mask {mask.shape}"
+                )
+            if not ((stuck == 0) | (stuck == 1)).all():
+                raise ValueError("stuck_values must all be 0 or 1")
+            self.stuck_values = stuck.astype(np.int8, copy=False)
+        elif self.fault_model is FaultModel.STUCK_AT_RANDOM:
             raise ValueError("stuck_values required for the stuck-at-random fault model")
 
     # ------------------------------------------------------------------ #
@@ -419,6 +456,27 @@ class FaultMap:
         else:
             out[self.fault_mask] = self.stuck_values[self.fault_mask]
         return out
+
+    def word_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Packed per-word read masks ``(keep, flip)``, built once per map.
+
+        A stored word ``w`` (column 0 its MSB) reads back as
+        ``(w & keep) ^ flip`` — the word-level form of :meth:`apply_to_bits`.
+        Bit-flip faults keep every bit and flip the faulty cells; stuck-at
+        faults clear the faulty cells and set those stuck at 1.  Both are
+        int64 arrays of length :attr:`num_words`; callers must not modify
+        them.
+        """
+        if self._word_masks is None:
+            faulty = pack_bits(self.fault_mask)
+            if self.fault_model is FaultModel.BIT_FLIP:
+                keep = np.full(self.num_words, (1 << self.bits_per_word) - 1, dtype=np.int64)
+                flip = faulty
+            else:
+                keep = ((1 << self.bits_per_word) - 1) & ~faulty
+                flip = pack_bits(self.stuck_values & self.fault_mask)
+            self._word_masks = (keep, flip)
+        return self._word_masks
 
     def row_slice(self, start: int, stop: int) -> "FaultMap":
         """Return the fault map of a contiguous word range ``[start, stop)``.

@@ -18,6 +18,7 @@ Two word formats are provided:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,8 +129,15 @@ class LlrQuantizer:
         return self.index_to_words(self.quantize_to_index(llrs))
 
     def words_to_llrs(self, words: np.ndarray) -> np.ndarray:
-        """Decode unsigned memory words directly into real LLR values."""
-        return self.index_to_value(self.words_to_index(words))
+        """Decode unsigned memory words directly into real LLR values.
+
+        One gather from a ``2**num_bits`` table holding
+        ``index_to_value(words_to_index(w))`` for every word ``w``.
+        """
+        w = np.asarray(words, dtype=np.int64)
+        if w.size and (w.min() < 0 or w.max() >> self.num_bits):
+            raise ValueError(f"words must fit in {self.num_bits} bits")
+        return _llr_table(self)[w]
 
     def words_to_bits(self, words: np.ndarray) -> np.ndarray:
         """Expand memory words into a (num_words, num_bits) bit matrix, MSB first.
@@ -155,3 +163,22 @@ class LlrQuantizer:
     def quantization_noise_power(self) -> float:
         """Variance of the quantization error for uniformly distributed inputs."""
         return self.step**2 / 12.0
+
+
+#: Widest word :meth:`LlrQuantizer.words_to_llrs` builds a lookup table for.
+MAX_TABLE_BITS = 16
+
+
+@functools.lru_cache(maxsize=64)
+def _llr_table(quantizer: LlrQuantizer) -> np.ndarray:
+    """LLR value of every ``num_bits``-bit word of *quantizer* (read-only)."""
+    if quantizer.num_bits > MAX_TABLE_BITS:
+        raise ValueError(
+            f"words_to_llrs covers at most {MAX_TABLE_BITS}-bit words, "
+            f"got {quantizer.num_bits}"
+        )
+    table = quantizer.index_to_value(
+        quantizer.words_to_index(np.arange(1 << quantizer.num_bits))
+    )
+    table.flags.writeable = False
+    return table

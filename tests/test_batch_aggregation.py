@@ -7,10 +7,12 @@ stopping trades packets for confidence but must stay deterministic in the
 worker count.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.core.protection import NoProtection, msb_protection_scheme
+from repro.core.protection import EccProtection, NoProtection, msb_protection_scheme
 from repro.link.system import PacketGroup, simulate_packet_groups
 from repro.runner.parallel import ParallelRunner
 from repro.runner.tasks import (
@@ -103,19 +105,50 @@ class TestLinkChunkAggregation:
                 assert p_merged.failure_history == p_alone.failure_history
 
 
+_MSB = msb_protection_scheme(10, 3)
+_ECC = EccProtection(bits_per_word=10)
+#: Die variants of the batching test, as (link-config overrides, grid
+#: points): every fault model and placement, ECC, transient soft errors and
+#: the combined buffer architecture go through the round-batched soft-buffer
+#: path; "mixed" pools dies of different stored formats (ECC codewords beside
+#: plain words, stuck-at beside bit-flip) in one batch.
+DIE_VARIANTS = {
+    "msb": ({}, [dict(protection=_MSB)]),
+    "stuck": ({}, [dict(protection=_MSB, fault_model="stuck-at-random")]),
+    "clustered": ({}, [dict(protection=_MSB, fault_model="clustered:1")]),
+    "ecc": ({}, [dict(protection=_ECC)]),
+    "soft": ({}, [dict(protection=_MSB, soft_error_rate=1e-2)]),
+    "combined": ({"buffer_architecture": "combined"}, [dict(protection=_MSB)]),
+    "mixed": (
+        {},
+        [
+            dict(protection=_ECC, soft_error_rate=1e-2),
+            dict(protection=_MSB, fault_model="stuck-at-0"),
+            dict(protection=_ECC, fault_model="clustered:1"),
+        ],
+    ),
+}
+
+
 class TestFaultMapAggregation:
-    def test_batched_dies_match_solo_dies(self, tiny_config):
-        protection = msb_protection_scheme(tiny_config.llr_bits, 3)
-        tasks = fault_map_tasks_for_point(
-            tiny_config,
-            protection,
-            snr_db=12.0,
-            defect_rate=0.05,
-            num_packets=8,
-            num_fault_maps=4,
-            entropy=2012,
-            key_prefix=(0, 0),
-        )
+    @pytest.mark.parametrize("variant", list(DIE_VARIANTS))
+    def test_batched_dies_match_solo_dies(self, tiny_config, variant):
+        assert tiny_config.llr_bits == 10
+        overrides, points = DIE_VARIANTS[variant]
+        tasks = [
+            task
+            for index, point in enumerate(points)
+            for task in fault_map_tasks_for_point(
+                replace(tiny_config, **overrides),
+                snr_db=12.0,
+                defect_rate=0.05,
+                num_packets=8,
+                num_fault_maps=4 if len(points) == 1 else 2,
+                entropy=2012,
+                key_prefix=(0, index),
+                **point,
+            )
+        ]
         solo = [simulate_fault_map(task) for task in tasks]
         batched = simulate_fault_map_batch(tasks)
         for a, b in zip(solo, batched):

@@ -179,6 +179,26 @@ class TestFaultMap:
         with pytest.raises(ValueError):
             fault_map.row_slice(5, 20)
 
+    @pytest.mark.parametrize(
+        "stuck",
+        [np.array([1, 1, 1]), np.ones((3, 4), dtype=np.int8), np.full((4, 3), 7)],
+        ids=["wrong-shape-row", "transposed", "not-a-bit"],
+    )
+    def test_malformed_stuck_values_rejected(self, stuck):
+        mask = np.zeros((4, 3), dtype=bool)
+        mask[1, 2] = True
+        with pytest.raises(ValueError, match="stuck_values"):
+            FaultMap(4, 3, mask, FaultModel.STUCK_AT_RANDOM, stuck_values=stuck)
+
+    def test_well_formed_stuck_values_read_back(self):
+        mask = np.zeros((4, 3), dtype=bool)
+        mask[1, 2] = mask[3, 0] = True
+        stuck = np.zeros((4, 3), dtype=np.int8)
+        stuck[3, 0] = 1
+        fault_map = FaultMap(4, 3, mask, FaultModel.STUCK_AT_RANDOM, stuck_values=stuck)
+        read = fault_map.apply_to_bits(np.ones((4, 3), dtype=np.int8))
+        assert read[1, 2] == 0 and read[3, 0] == 1 and read.sum() == 11
+
     def test_restrict_to_columns(self, rng):
         fault_map = FaultMap.with_exact_fault_count(100, 10, 80, rng)
         restricted = fault_map.restrict_to_columns(np.array([0, 1]))
