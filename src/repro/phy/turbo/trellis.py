@@ -10,6 +10,7 @@ the encoder and the max-log-MAP decoder need, plus the reverse tables
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -116,6 +117,25 @@ class RscTrellis:
         object.__setattr__(self, "prev_input", prev_input)
         object.__setattr__(self, "termination_input", termination_input)
 
+    @cached_property
+    def byte_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(parity, next_index)`` for eight-bit encoder steps, built on first use.
+
+        ``parity[s * 256 + b]`` holds the 8 parity bits of input byte ``b``
+        (most significant bit first) from state ``s``; ``next_index[s * 256
+        + b]`` is ``256 * s'`` for the state ``s'`` that byte leads to — the
+        row base of the next byte's lookup.  Both come from running the
+        per-bit recursion once over every (state, byte) pair.
+        """
+        pairs = np.arange(self.num_states * 256)
+        state = pairs >> 8
+        parity = np.empty((pairs.size, 8), dtype=np.int8)
+        for k in range(8):
+            u = (pairs >> (7 - k)) & 1
+            parity[:, k] = self.parity[state, u]
+            state = self.next_state[state, u]
+        return parity, state * 256
+
     @property
     def num_states(self) -> int:
         """Number of trellis states (8 for the UMTS code)."""
@@ -135,25 +155,31 @@ class RscTrellis:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Row-wise :meth:`encode_bits` for a ``(batch, length)`` bit matrix.
 
-        The shift-register recursion is exact integer table lookup, so the
-        vectorised per-column sweep is bit-identical to encoding each row
-        alone; returns ``(parity_matrix, final_states)``.
+        Eight input bits per step through the byte tables, then one bit per
+        step for the ``length % 8`` tail.  Both are exact integer table
+        lookups, bit-identical to encoding each row alone; returns
+        ``(parity_matrix, final_states)``.
         """
-        info = np.asarray(bits, dtype=np.int64)
+        info = np.asarray(bits)
         if info.ndim != 2:
             raise ValueError(f"expected a 2-D bit matrix, got shape {info.shape}")
         batch, length = info.shape
-        if batch == 1:
-            # Scalar table lookups beat one-element fancy indexing by an
-            # order of magnitude; both are exact integer recursions, so the
-            # delegation is bit-identical.
-            row, final_state = self.encode_bits(info[0], initial_state)
-            return row.reshape(1, -1), np.array([final_state], dtype=np.int64)
-        state = np.full(batch, int(initial_state), dtype=np.int64)
+        whole = length - length % 8
+        byte_parity, byte_next_index = self.byte_tables
+        # Row base (256 * state) of the current byte lookup.
+        base = np.full(batch, 256 * int(initial_state), dtype=np.int64)
+        steps = np.empty((whole // 8, batch), dtype=np.int64)
+        byte_columns = np.packbits(info[:, :whole].astype(np.uint8), axis=1).T
+        for j, column in enumerate(byte_columns):
+            index = steps[j]
+            np.add(base, column, out=index)
+            base = byte_next_index[index]
         out = np.empty((batch, length), dtype=np.int8)
+        out[:, :whole] = byte_parity[steps.T].reshape(batch, whole)
+        state = base >> 8
         parity, next_state = self.parity, self.next_state
-        for i in range(length):
-            u = info[:, i]
+        for i in range(whole, length):
+            u = info[:, i].astype(np.int64)
             out[:, i] = parity[state, u]
             state = next_state[state, u]
         return out, state

@@ -14,10 +14,17 @@ to a serial run of the same plan, which is exactly why the backend is kept
 out of the run identity.
 
 For single-machine use (CI, the conformance suite, quick sanity checks) the
-coordinator can spawn ``local_workers`` daemons itself; for real
-distribution, bind a routable address and start workers on other machines —
-but note the wire format is pickle, so only trusted networks apply (see
-:mod:`repro.runner.backends.wire`).
+coordinator can start ``local_workers`` daemons itself.  They are
+``os.fork()`` copies of the coordinator, taken once the listener is bound and
+before any backend thread starts: no interpreter start-up and no second
+import of numpy and ``repro``.  Each child closes its copy of the listener,
+writes its output to ``worker-<i>.log`` in a temporary directory (its tail
+is quoted when all local daemons die), starts from fresh telemetry and a
+chaos plan re-read from ``REPRO_CHAOS``, runs :func:`run_worker` and leaves
+with ``os._exit`` — never through the coordinator's stack or exit handlers.
+For real distribution, bind a routable address and start workers on other
+machines — but note the wire format is pickle, so only trusted networks
+apply (see :mod:`repro.runner.backends.wire`).
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ import random
 import select
 import signal
 import socket
-import subprocess
 import sys
 import tempfile
 import threading
@@ -108,6 +114,51 @@ class _WorkerConnection:
         self.credits.release()  # wake a dispatcher blocked on the credit
 
 
+class _LocalDaemon:
+    """Coordinator-side handle on one forked local worker daemon.
+
+    Offers the slice of :class:`subprocess.Popen` that :meth:`close` and
+    the liveness checks use: ``pid``, ``poll()``, ``wait(timeout)`` and
+    ``kill()``.
+    """
+
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        self.returncode: Optional[int] = None
+
+    def poll(self) -> Optional[int]:
+        """The daemon's exit code, or ``None`` while it runs."""
+        if self.returncode is None:
+            try:
+                pid, status = os.waitpid(self.pid, os.WNOHANG)
+            except ChildProcessError:
+                # Reaped elsewhere: the status is lost (Popen reports 0 too).
+                self.returncode = 0
+            else:
+                if pid:
+                    self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def wait(self, timeout: float) -> Optional[int]:
+        """Wait up to *timeout* seconds; the exit code, or ``None`` if still running."""
+        deadline = time.monotonic() + timeout
+        delay = 0.0005
+        while self.poll() is None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return None
+            delay = min(delay * 2, remaining, 0.05)
+            time.sleep(delay)
+        return self.returncode
+
+    def kill(self) -> None:
+        if self.poll() is None:
+            try:
+                os.kill(self.pid, signal.SIGKILL)
+            except ProcessLookupError:  # pragma: no cover - exited meanwhile
+                pass
+
+
 class SocketDistributedBackend(ExecutionBackend):
     """Execute work items on TCP-connected worker daemons.
 
@@ -122,8 +173,8 @@ class SocketDistributedBackend(ExecutionBackend):
         ephemeral port (read it back from :attr:`address`).  The default
         binds loopback; bind a routable host only on trusted networks.
     local_workers:
-        Worker daemons to spawn on this machine once the coordinator is up
-        (``None`` -> *workers*).  ``0`` spawns nothing and waits for
+        Worker daemons to fork on this machine once the coordinator is up
+        (``None`` -> *workers*).  ``0`` starts nothing and waits for
         external workers to connect.
     worker_timeout:
         Seconds :meth:`submit` tolerates having no connected worker (while
@@ -143,7 +194,7 @@ class SocketDistributedBackend(ExecutionBackend):
         (a window shorter than the cadence would retire healthy workers);
         workers that never advertise heartbeats are exempt.
     worker_slots:
-        ``--slots`` value for locally spawned daemons: how many work items
+        ``slots`` of the local daemons: how many work items
         each daemon executes concurrently (and therefore how many credits
         it holds with the coordinator).  ``1`` keeps the one-at-a-time
         daemon; ``0`` lets each daemon size itself to its own CPU count.
@@ -232,7 +283,7 @@ class SocketDistributedBackend(ExecutionBackend):
         #: has not raised on it yet (the "K *distinct* workers" budget).
         self._failed_peers: Dict[Tuple[int, int], "frozenset[str]"] = {}
         self._last_activity = time.monotonic()
-        self._local_procs: List[subprocess.Popen] = []
+        self._local_procs: List[_LocalDaemon] = []
         #: Pids of local daemons that completed a hello at least once.
         self._hello_pids: Set[int] = set()
         self._stderr_dir: Optional[tempfile.TemporaryDirectory] = None
@@ -398,43 +449,58 @@ class SocketDistributedBackend(ExecutionBackend):
         listener.bind((self.bind_host, self.bind_port))
         listener.listen(64)
         self._listener = listener
+        # Fork the local daemons while this is still the only backend thread
+        # (forking with threads alive risks a child deadlocked on a lock one
+        # of them held), and register every daemon pid before the accept
+        # thread can run a handshake — else an early hello would be taken
+        # for an external worker.  Their connects wait in the backlog.
+        if self.local_workers:
+            self._spawn_local_workers()
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="repro-coordinator-accept", daemon=True
         )
         self._accept_thread.start()
-        if self.local_workers:
-            self._spawn_local_workers()
 
     def _spawn_local_workers(self) -> None:
         self._stderr_dir = tempfile.TemporaryDirectory(prefix="repro-workers-")
-        env = os.environ.copy()
-        # Local daemons must unpickle whatever module-level task functions
-        # the parent can reference (fork-based pool workers inherit sys.path
-        # wholesale), so replicate the parent's import environment.
-        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        address = self.address
         for worker_index in range(self.local_workers):
             log_path = Path(self._stderr_dir.name) / f"worker-{worker_index}.log"
-            with open(log_path, "wb") as log:
-                proc = subprocess.Popen(
-                    [
-                        sys.executable,
-                        "-m",
-                        "repro",
-                        "worker",
-                        "--connect",
-                        self.address,
-                        "--connect-retries",
-                        "40",
-                        "--retry-delay",
-                        "0.25",
-                        "--slots",
-                        str(self.worker_slots),
-                    ],
-                    env=env,
-                    stdout=log,
-                    stderr=subprocess.STDOUT,
-                )
-            self._local_procs.append(proc)
+            sys.stdout.flush()
+            sys.stderr.flush()
+            pid = os.fork()
+            if pid == 0:
+                self._run_forked_worker(address, log_path)  # never returns
+            self._local_procs.append(_LocalDaemon(pid))
+
+    def _run_forked_worker(self, address: str, log_path: Path) -> None:
+        """Body of a forked local daemon: serve *address*, then ``os._exit``."""
+        code = WORKER_EXIT_FAILURE
+        try:
+            assert self._listener is not None
+            self._listener.close()
+            log_fd = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+            os.dup2(log_fd, 1)
+            os.dup2(log_fd, 2)
+            os.close(log_fd)
+            sys.stdout = sys.stderr = open(1, "w", buffering=1, closefd=False)
+            # What a freshly started `repro worker` would have: an empty
+            # registry, and the chaos plan of REPRO_CHAOS with no firings
+            # used up by the coordinator.
+            telemetry.reset()
+            chaos.reset()
+            code = run_worker(
+                address, connect_retries=40, retry_delay=0.25, slots=self.worker_slots
+            )
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            # Never unwind into the coordinator's stack, run its exit
+            # handlers or flush the stdio buffers copied from it.
+            try:
+                sys.stderr.flush()
+            finally:
+                os._exit(code)
 
     # ------------------------------------------------------------------ #
     def _accept_loop(self) -> None:
@@ -660,11 +726,14 @@ class SocketDistributedBackend(ExecutionBackend):
         with self._connections_lock:
             if conn in self._connections:
                 self._connections.remove(conn)
+            # A worker still registered when close() began is close()'s to
+            # shut down: closing its socket here first would cost it the
+            # "shutdown" frame (a local daemon is then killed, an external
+            # one reconnects until it gives up).
+            owned_by_close = self._closing
         telemetry.set_gauge("backend_connected_workers", self.connected_workers())
-        try:
-            conn.sock.close()
-        except OSError:  # pragma: no cover - best effort
-            pass
+        if not owned_by_close:
+            _close_quietly(conn.sock)
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
@@ -687,27 +756,33 @@ class SocketDistributedBackend(ExecutionBackend):
                 with conn.send_lock:
                     send_message(conn.sock, ("shutdown",))
             except OSError:
-                # Its dispatcher already retired it: no shutdown frame will
-                # arrive, so a local daemon would reconnect until the deadline.
+                # The connection is broken: no shutdown frame will arrive,
+                # so a local daemon would reconnect until the deadline.
                 if conn.local_pid is not None:
                     doomed.add(conn.local_pid)
         if self._listener is not None:
+            # shutdown() wakes the accept thread: a bare close() leaves the
+            # port listening for as long as that thread blocks in accept().
             try:
-                self._listener.close()
-            except OSError:  # pragma: no cover - best effort
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:  # some platforms refuse shutdown() on a listener
                 pass
+            _close_quietly(self._listener)
         for proc in self._local_procs:
             if proc.pid in doomed and proc.poll() is None:
                 proc.kill()
         deadline = time.monotonic() + 5.0
         for proc in self._local_procs:
             remaining = max(0.1, deadline - time.monotonic())
-            try:
-                proc.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
+            if proc.wait(timeout=remaining) is None:
                 proc.kill()
                 proc.wait(timeout=5.0)
         self._local_procs.clear()
+        # Closed only now, once the local daemons have read their shutdown
+        # frame and gone: closing a socket with a heartbeat still unread on
+        # it resets the connection, which can beat that frame to the peer.
+        for conn in connections:
+            _close_quietly(conn.sock)
         if self._stderr_dir is not None:
             self._stderr_dir.cleanup()
             self._stderr_dir = None
@@ -717,6 +792,13 @@ class SocketDistributedBackend(ExecutionBackend):
             f"SocketDistributedBackend(bind={self.bind_host}:{self.bind_port}, "
             f"local_workers={self.local_workers})"
         )
+
+
+def _close_quietly(sock: socket.socket) -> None:
+    try:
+        sock.close()
+    except OSError:  # pragma: no cover - best effort
+        pass
 
 
 # --------------------------------------------------------------------------- #
@@ -962,10 +1044,7 @@ def run_worker(
                     _serve_item(sender, round_id, index, fn, task, in_flight)
         except (ConnectionError, OSError):
             log("repro worker: connection lost")
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - best effort
-                pass
+            _close_quietly(sock)
             if once:
                 return WORKER_EXIT_LOST_COORDINATOR
             # fall through: reconnect for the coordinator's next round
@@ -976,10 +1055,7 @@ def run_worker(
             # redelivered task.  Log the real cause and exit non-zero so the
             # coordinator's local-worker diagnostics surface it.
             log(f"repro worker: fatal protocol error:\n{traceback.format_exc()}")
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - best effort
-                pass
+            _close_quietly(sock)
             return WORKER_EXIT_FAILURE
         finally:
             if heartbeat_stop is not None:

@@ -16,6 +16,7 @@ uses, minus the env export for subprocess daemons.
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -268,6 +269,12 @@ class TestPoisonTaskQuarantine:
         try:
             _start_worker_thread(backend.address)
             _start_worker_thread(backend.address)
+            # The retry can only go to a distinct worker that is connected by
+            # then; the first attempt fails within milliseconds.
+            deadline = time.monotonic() + 30.0
+            while backend.connected_workers() < 2:
+                assert time.monotonic() < deadline, "workers never connected"
+                time.sleep(0.01)
             runner = ParallelRunner(2, backend=backend)
             [sentinel] = runner.map(_boom, [1], allow_quarantined=True)
             assert isinstance(sentinel, TaskQuarantined)

@@ -9,6 +9,8 @@ duplicate deliveries, and remote-error propagation.
 """
 
 import operator
+import os
+import signal
 import socket
 import threading
 import time
@@ -17,6 +19,7 @@ import pytest
 
 from repro.experiments import fig2_bler_vs_harq, fig6_throughput_vs_defects
 from repro.experiments.scales import SCALES
+from repro.runner import chaos, telemetry
 from repro.runner.backends import (
     ProcessPoolBackend,
     SerialBackend,
@@ -26,6 +29,8 @@ from repro.runner.backends import (
     register_execution_backend,
     run_worker,
 )
+from repro.runner.backends import socket_backend
+from repro.runner.backends.socket_backend import WORKER_EXIT_OK
 from repro.runner.backends.wire import parse_address, recv_message, send_message
 from repro.runner.parallel import ParallelRunner, resolve_runner, runner_scope
 
@@ -71,6 +76,15 @@ def _identity_task(chunk_index):
 def _slow_square(value):
     time.sleep(0.5)
     return value * value
+
+
+def _counter_in_worker(name):
+    return telemetry.registry().counter_total(name)
+
+
+def _chaos_spec_in_worker(_value):
+    plan = chaos.active_plan()
+    return None if plan is None else plan.spec
 
 
 class TestRegistry:
@@ -224,6 +238,31 @@ def _start_worker_thread(address, **kwargs):
     return thread
 
 
+def _hold_local_daemons(monkeypatch, tmp_path, let_through=0):
+    """Make forked local daemons block before connecting, bar *let_through*.
+
+    The daemons are forked copies of this process, so they run whatever
+    ``run_worker`` the backend module holds at the fork.  The first
+    *let_through* daemons to claim a token file serve normally; a held
+    daemon leaves a ``held-<pid>`` file in *tmp_path*.
+    """
+    serve = socket_backend.run_worker
+    tokens = [tmp_path / f"token-{index}" for index in range(let_through)]
+
+    def held_run_worker(*args, **kwargs):
+        for token in tokens:
+            try:
+                os.close(os.open(token, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                continue
+            return serve(*args, **kwargs)
+        (tmp_path / f"held-{os.getpid()}").touch()
+        time.sleep(60.0)
+        return 1
+
+    monkeypatch.setattr(socket_backend, "run_worker", held_run_worker)
+
+
 class TestSocketFailureSemantics:
     def test_requeue_after_worker_death(self):
         """A task taken by a dying worker is redelivered (at-least-once)."""
@@ -331,14 +370,22 @@ class TestSocketFailureSemantics:
             backend.close()
 
     @pytest.mark.parametrize("drain_first", [False, True])
-    def test_close_does_not_wait_on_unconnected_local_workers(self, drain_first):
-        """Local daemons that never said hello are killed, not waited on."""
+    def test_close_does_not_wait_on_unconnected_local_workers(
+        self, drain_first, monkeypatch, tmp_path
+    ):
+        """Local daemons that never said hello are killed, not waited on.
+
+        The daemons are held before they connect (without *drain_first*
+        both are, with it one is and the other serves a round), so close()
+        always meets a daemon that never said hello.
+        """
+        _hold_local_daemons(monkeypatch, tmp_path, let_through=int(drain_first))
         backend = SocketDistributedBackend(local_workers=2, worker_timeout=60.0)
         try:
             if drain_first:
                 assert list(backend.submit(operator.neg, [1])) == [(0, -1)]
             else:
-                backend.address  # spawns the daemons; close before they connect
+                backend.address  # starts the daemons; they never connect
             procs = list(backend._local_procs)
             assert len(procs) == 2
         finally:
@@ -346,7 +393,9 @@ class TestSocketFailureSemantics:
             backend.close()
             elapsed = time.monotonic() - started
         assert elapsed < 1.0
-        assert all(proc.poll() is not None for proc in procs)
+        codes = sorted(proc.poll() for proc in procs)
+        expected = [WORKER_EXIT_OK, -signal.SIGKILL] if drain_first else [-signal.SIGKILL] * 2
+        assert codes == sorted(expected)
 
     def test_close_during_handshake_registration_does_not_stall(self):
         """A daemon caught mid-registration is shut down or killed, not waited on.
@@ -610,3 +659,126 @@ class TestSocketFailureSemantics:
         listener.close()
         assert code == 1
         assert any("fatal protocol error" in line for line in logs)
+
+
+# --------------------------------------------------------------------------- #
+# forked local daemons
+# --------------------------------------------------------------------------- #
+def _bind_and_listen(port):
+    probe = socket.socket()
+    probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    try:
+        probe.bind(("127.0.0.1", port))
+        probe.listen(1)
+    finally:
+        probe.close()
+
+
+def _wait_for_connections(backend, count, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while backend.connected_workers() < count:
+        assert time.monotonic() < deadline, "local daemons never connected"
+        time.sleep(0.01)
+
+
+class TestForkedLocalDaemons:
+    def test_every_local_daemon_is_registered_as_local(self, monkeypatch):
+        """No hello can beat its daemon's registration.
+
+        A local daemon taken for an external worker would disable the
+        local-death fast fail and escape close()'s kill.  Registration is
+        slowed down here so that a coordinator accepting connections before
+        every pid is registered fails deterministically.
+        """
+
+        class _SlowToRegister(socket_backend._LocalDaemon):
+            def __init__(self, pid):
+                time.sleep(0.2)
+                super().__init__(pid)
+
+        monkeypatch.setattr(socket_backend, "_LocalDaemon", _SlowToRegister)
+        backend = SocketDistributedBackend(local_workers=2, worker_timeout=60.0)
+        try:
+            backend.address
+            _wait_for_connections(backend, 2)
+            with backend._connections_lock:
+                local_pids = {conn.local_pid for conn in backend._connections}
+            assert local_pids == {proc.pid for proc in backend._local_procs}
+            assert backend._external_seen is False
+        finally:
+            backend.close()
+
+    def test_daemon_starts_with_an_empty_telemetry_registry(self):
+        name = "test_coordinator_only_marker_total"
+        telemetry.inc(name)
+        backend = SocketDistributedBackend(local_workers=1, worker_timeout=60.0)
+        try:
+            assert list(backend.submit(_counter_in_worker, [name])) == [(0, 0)]
+        finally:
+            backend.close()
+        assert telemetry.registry().counter_total(name) >= 1
+
+    def test_daemon_reads_its_chaos_plan_from_the_environment(self, monkeypatch):
+        """The coordinator's in-memory plan is not the daemon's."""
+        monkeypatch.setenv(chaos.CHAOS_ENV_VAR, "seed=5;tear-write=9")
+        chaos.activate("seed=1;tear-write=8")
+        backend = SocketDistributedBackend(local_workers=1, worker_timeout=60.0)
+        try:
+            assert list(backend.submit(_chaos_spec_in_worker, [None])) == [
+                (0, "seed=5;tear-write=9")
+            ]
+        finally:
+            backend.close()
+            chaos.reset()
+
+    def test_daemon_does_not_hold_the_listener(self, monkeypatch, tmp_path):
+        """The port is free once the coordinator lets go, its daemon still running."""
+        _hold_local_daemons(monkeypatch, tmp_path)
+        # No accept thread: a thread blocked in accept() would pin the port.
+        monkeypatch.setattr(SocketDistributedBackend, "_accept_loop", lambda self: None)
+        backend = SocketDistributedBackend(local_workers=1, worker_timeout=60.0)
+        try:
+            port = parse_address(backend.address)[1]
+            held = tmp_path / f"held-{backend._local_procs[0].pid}"
+            deadline = time.monotonic() + 30.0
+            while not held.exists():  # the daemon is past its start-up
+                assert time.monotonic() < deadline, "the daemon never started"
+                time.sleep(0.01)
+            backend._listener.close()
+            _bind_and_listen(port)
+        finally:
+            backend.close()
+
+    def test_close_frees_the_listener_port(self):
+        backend = SocketDistributedBackend(local_workers=1, worker_timeout=60.0)
+        try:
+            assert list(backend.submit(_square, [3])) == [(0, 9)]
+            port = parse_address(backend.address)[1]
+        finally:
+            backend.close()
+        _bind_and_listen(port)
+
+    def test_poll_returns_the_worker_exit_code(self, monkeypatch):
+        """Connected daemons get their shutdown frame and exit 0.
+
+        The shutdown send is held past a dispatcher poll, so every
+        dispatcher sees the backend closing first: one that closed its
+        socket then would cost its daemon the frame (and a SIGKILL).
+        """
+        send = socket_backend.send_message
+
+        def late_shutdown(sock, message):
+            if message == ("shutdown",):
+                time.sleep(3 * socket_backend._POLL_INTERVAL)
+            return send(sock, message)
+
+        monkeypatch.setattr(socket_backend, "send_message", late_shutdown)
+        backend = SocketDistributedBackend(local_workers=2, worker_timeout=60.0)
+        try:
+            backend.address
+            _wait_for_connections(backend, 2)
+            assert sorted(backend.submit(_square, [1, 2, 3])) == [(0, 1), (1, 4), (2, 9)]
+            procs = list(backend._local_procs)
+        finally:
+            backend.close()
+        assert [proc.poll() for proc in procs] == [WORKER_EXIT_OK, WORKER_EXIT_OK]
